@@ -284,10 +284,10 @@ def run_campaign(spec: WorkloadSpec, config: MachineConfig,
         jobs = shard_campaign(whole, want) if want > 1 else [whole]
         if cache is None:
             # Warm the process-level checker memo before dispatch: a
-            # forking PoolExecutor's workers inherit the compiled
-            # checker (and its golden checkpoint stream) instead of
-            # each rebuilding it.  With a result cache the jobs may
-            # never run at all, so skip the warm-up.
+            # forking SupervisedPool's workers inherit the compiled
+            # checker (and its golden checkpoint stream) when they
+            # spawn instead of each rebuilding it.  With a result cache
+            # the jobs may never run at all, so skip the warm-up.
             campaign_checker(whole).prepare_checkpoints()
 
         def handle(outcome) -> None:

@@ -11,13 +11,13 @@ Subcommands::
     repro-serve chaos  --seed 7 --out chaos.json     # differential gate
 
 Parallel runs (``--jobs N``, N > 1) execute on the **warm persistent
-worker pool** (:class:`~repro.serve.supervisor.SupervisedPool` with
-``warm=True``): long-lived workers whose compile caches and memoised
-checkers survive across jobs, with affinity routing.  Pass
-``--fresh-workers`` to restore the one-process-per-job strategy.
-``warmgate`` runs one batch serial, fresh and warm, requires all three
-outcome tables byte-identical and (optionally) a minimum warm-vs-fresh
-speedup — the CI gate for the warm fabric.
+worker pool** (:class:`~repro.serve.supervisor.SupervisedPool`):
+long-lived workers whose compile caches and memoised checkers survive
+across jobs, with affinity routing.  ``warmgate`` runs one batch on a
+pool that recycles every worker after one job ("fresh"), on a warm
+pool, and serially, requires all three outcome tables byte-identical
+and (optionally) a minimum warm-vs-fresh speedup — the CI gate for the
+warm fabric.
 
 ``batch`` writes a batch file describing one job per (benchmark,
 machine) cell — sweep evaluations, fault campaigns or dual-engine
@@ -73,15 +73,10 @@ def _specs_for(names: List[str], quick: bool):
     return [WORKLOADS[name]() for name in names]
 
 
-def _build_executor(jobs: int, timeout: Optional[float], retries: int,
-                    fresh: bool = False,
-                    recycle_after: Optional[int] = None):
-    """Parallel runs default to the warm persistent pool; ``fresh``
-    restores the one-process-per-job strategy."""
+def _build_executor(jobs: int, timeout: Optional[float], retries: int):
+    """Parallel runs go to the warm persistent pool."""
     if jobs > 1:
-        return SupervisedPool(jobs=jobs, timeout=timeout,
-                              retries=retries, warm=not fresh,
-                              recycle_after=recycle_after)
+        return SupervisedPool(jobs=jobs, timeout=timeout, retries=retries)
     return SerialExecutor()
 
 
@@ -143,8 +138,7 @@ def _run_command(arguments, warm_only: bool = False) -> int:
     specs = load_batch(arguments.batch)
     cache = ResultCache(arguments.cache) if arguments.cache else None
     executor = _build_executor(arguments.jobs, arguments.timeout,
-                               arguments.retries,
-                               fresh=arguments.fresh_workers)
+                               arguments.retries)
 
     done = [0]
 
@@ -208,8 +202,7 @@ def _verify_command(arguments) -> int:
     specs = load_batch(arguments.batch)
     cache = ResultCache(arguments.cache)
     executor = _build_executor(arguments.jobs, arguments.timeout,
-                               arguments.retries,
-                               fresh=arguments.fresh_workers)
+                               arguments.retries)
     # Recompute everything fresh (no cache on the run), then diff
     # against what the cache claims.
     try:
@@ -243,8 +236,9 @@ def _verify_command(arguments) -> int:
 
 
 def _warmgate_command(arguments) -> int:
-    """CI gate: prove the warm pool is faster than the fresh pool on
-    the same batch *and* byte-identical to the serial executor."""
+    """CI gate: prove the warm pool is faster than a pool with a fresh
+    worker per job on the same batch *and* byte-identical to the serial
+    executor."""
     from repro.serve.chaos import outcome_table
 
     specs = load_batch(arguments.batch)
@@ -254,16 +248,17 @@ def _warmgate_command(arguments) -> int:
     # its parent has populated, so executing any job in this process
     # first would hand the fresh pool pre-warmed children and erase
     # the very cost the gate measures.
-    fresh_pool = SupervisedPool(jobs=arguments.jobs,
-                                timeout=arguments.timeout,
-                                retries=arguments.retries)
-    started = perf_counter()
-    fresh_outcomes = fresh_pool.run(specs)
-    fresh_wall = perf_counter() - started
+    with SupervisedPool(jobs=arguments.jobs,
+                        timeout=arguments.timeout,
+                        retries=arguments.retries,
+                        recycle_after=1) as fresh_pool:
+        started = perf_counter()
+        fresh_outcomes = fresh_pool.run(specs)
+        fresh_wall = perf_counter() - started
 
     with SupervisedPool(jobs=arguments.jobs,
                         timeout=arguments.timeout,
-                        retries=arguments.retries, warm=True,
+                        retries=arguments.retries,
                         recycle_after=arguments.recycle_after or None
                         ) as warm_pool:
         started = perf_counter()
@@ -369,9 +364,6 @@ def main(argv=None) -> int:
                          help="per-job timeout in seconds")
         sub.add_argument("--retries", type=int, default=1,
                          help="retries after a worker crash (default 1)")
-        sub.add_argument("--fresh-workers", action="store_true",
-                         help="fork a fresh worker per job instead of "
-                              "the warm persistent pool")
         sub.add_argument("--verbose", action="store_true",
                          help="print one line per finished job")
 

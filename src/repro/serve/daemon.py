@@ -75,6 +75,11 @@ DAEMON_VERSION = 1
 
 _BATCH_ID = re.compile(r"^b\d{6,}$")
 
+#: Largest request body the daemon reads, in bytes.  A full default
+#: queue (256 jobs, each under 1 KB of JSON) is ~0.2 MB; anything above
+#: the cap is refused with 413 before a byte of it is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 STATE_QUEUED = "queued"
 STATE_RUNNING = "running"
 STATE_DONE = "done"
@@ -159,7 +164,7 @@ class ServeDaemon:
         self.cache = ResultCache(cache_root
                                  or os.path.join(spool, "cache"))
         self.executor = executor if executor is not None \
-            else SupervisedPool(jobs=2, warm=True)
+            else SupervisedPool(jobs=2)
         self.max_queue = max_queue
         self.max_client_jobs = max_client_jobs
         self.host = host
@@ -493,6 +498,10 @@ class ServeDaemon:
 
 # -- HTTP plumbing -----------------------------------------------------
 
+class _BodyTooLarge(ServeError):
+    """A request announced a body above :data:`MAX_BODY_BYTES`."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve-daemon/1"
@@ -529,8 +538,18 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> Dict[str, object]:
-        length = int(self.headers.get("Content-Length", "0"))
-        if length <= 0:
+        announced = self.headers.get("Content-Length", "0").strip()
+        if not re.fullmatch(r"[0-9]+", announced):
+            # The body's end is unknowable: never reuse this connection.
+            self.close_connection = True
+            raise ServeError(f"bad Content-Length {announced!r}: need a "
+                             "non-negative integer")
+        length = int(announced)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
+            raise _BodyTooLarge(f"request body of {length} bytes exceeds "
+                                f"the {MAX_BODY_BYTES}-byte limit")
+        if length == 0:
             raise ServeError("request body is empty")
         raw = self.rfile.read(length)
         try:
@@ -561,6 +580,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(202, {"draining": True})
             else:
                 self._reply(404, {"error": f"no such endpoint {path}"})
+        except _BodyTooLarge as error:
+            self._reply(413, {"error": str(error)})
         except QueueFullError as error:
             self._reply(429, {"error": str(error),
                               "retry_after": error.retry_after},
@@ -744,12 +765,10 @@ def main(argv=None) -> int:
                         help="per-job timeout in seconds")
     parser.add_argument("--retries", type=int, default=2,
                         help="retries after a worker crash or hang")
-    parser.add_argument("--fresh-workers", action="store_true",
-                        help="fork a fresh worker per job instead of "
-                             "the warm persistent pool")
     parser.add_argument("--recycle-after", type=int, default=64,
                         help="recycle a warm worker after this many "
-                             "jobs (0 disables)")
+                             "jobs (0 disables; 1 gives every job a "
+                             "fresh worker)")
     parser.add_argument("--max-worker-rss-mb", type=float, default=None,
                         help="recycle a warm worker whose peak RSS "
                              "exceeds this many MB")
@@ -768,7 +787,6 @@ def main(argv=None) -> int:
                 jobs=arguments.jobs,
                 timeout=arguments.timeout,
                 retries=arguments.retries,
-                warm=not arguments.fresh_workers,
                 recycle_after=arguments.recycle_after or None,
                 max_worker_rss_mb=arguments.max_worker_rss_mb),
             max_queue=arguments.max_queue,

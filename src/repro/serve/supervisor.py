@@ -1,20 +1,36 @@
 """``SupervisedPool``: the process pool hardened into a fault-tolerant
-execution fabric — with an optional **warm persistent worker** mode.
+execution fabric of **warm persistent workers**.
 
-:class:`~repro.serve.executors.PoolExecutor` already gives per-job
-isolation, timeouts and bounded crash retries.  This module adds the
-machinery a *long-running service* needs to survive infrastructure
-failure without corrupting results:
+Jobs run on long-lived worker *incarnations* that loop over a
+pipe-fed job queue, so the expensive per-process state a worker
+accumulates — the memoised lockstep checker
+(:data:`repro.serve.worker._CHECKER_MEMO`), the fastpath/trace compile
+caches, the golden checkpoint streams — survives from job to job
+instead of being rebuilt per job:
+
+* **affinity routing** — jobs carry an
+  :meth:`~repro.serve.jobspec.JobSpec.affinity_key` (workload instance
+  + machine-config digest: exactly what the in-process memos are keyed
+  by) and the dispatcher prefers an idle worker that has already served
+  that key, so repeat keys land on hot caches;
+* **bounded incarnations** — a worker is recycled after
+  ``recycle_after`` jobs or once its peak RSS crosses
+  ``max_worker_rss_mb`` (reported by the worker with every result), so
+  warm state cannot grow into a leak.  ``recycle_after=1`` gives every
+  job a worker of its own.
+
+On top of that sits the machinery a *long-running service* needs to
+survive infrastructure failure without corrupting results:
 
 * **worker heartbeats + hung-worker watchdog** — every worker runs a
-  daemon thread that beats over its result pipe; a worker silent for
-  longer than ``watchdog`` seconds is declared hung and reaped (SIGTERM
+  daemon thread that beats over its pipe; a worker silent for longer
+  than ``watchdog`` seconds is declared hung and reaped (SIGTERM
   escalating to SIGKILL after ``term_grace``).  Heartbeat silence is an
   *infrastructure* fault — the worker may be deadlocked or stopped — so
   hung jobs are retried; only the deterministic per-job ``timeout``
-  surfaces without retry.
+  surfaces without retry (and sacrifices the incarnation).
 * **retries with exponential backoff + deterministic seeded jitter** —
-  a crashed or hung job is rescheduled after
+  a crashed or hung job is rescheduled on a new incarnation after
   ``backoff_base * 2**(failures-1)`` seconds (capped at
   ``backoff_cap``), scaled by a jitter drawn from
   :class:`~repro.workloads.XorShift32` seeded by the job digest and the
@@ -27,50 +43,27 @@ failure without corrupting results:
   same digest is refused instantly (attempts=0) until the pool is
   replaced.
 * **graceful degradation to serial execution** — if the OS refuses to
-  spawn worker processes (fork bombs, rlimits, cgroup pressure), the
-  pool flips to running jobs in-process, SerialExecutor-style, rather
-  than failing the batch.  Probes that would kill or wedge the calling
-  process surface as structured failures instead.  Set
-  ``fallback_serial=False`` to get a
+  spawn worker processes (fork bombs, rlimits, cgroup pressure) and no
+  live incarnation remains, the pool flips to running jobs in-process,
+  SerialExecutor-style, rather than failing the batch.  Probes that
+  would kill or wedge the calling process surface as structured
+  failures instead.  Set ``fallback_serial=False`` to get a
   :class:`~repro.errors.SpawnError` instead.
+* **owner-death exit** — a worker whose owning process has died exits
+  on its own instead of lingering as an orphan.
 * **chaos hooks** — an optional :class:`~repro.serve.chaos.ChaosMonkey`
   may order a worker killed or hung per (digest, attempt), which is how
   the differential harness proves all of the above is invisible in the
   outcome tables.
 
-**Warm mode** (``warm=True``) replaces the one-fresh-process-per-job
-strategy with a fabric of **long-lived worker incarnations** that loop
-over a pipe-fed job queue.  The expensive per-process state a worker
-accumulates — the memoised lockstep checker
-(:data:`repro.serve.worker._CHECKER_MEMO`), the fastpath/trace compile
-caches, the golden checkpoint streams — survives from job to job
-instead of dying with the process, which removes the dominant
-spawn+recompile tax on compile-heavy sweeps:
-
-* **affinity routing** — jobs carry an
-  :meth:`~repro.serve.jobspec.JobSpec.affinity_key` (workload instance
-  + machine-config digest: exactly what the in-process memos are keyed
-  by) and the dispatcher prefers an idle worker that has already served
-  that key, so repeat keys land on hot caches;
-* **bounded incarnations** — a worker is recycled after
-  ``recycle_after`` jobs or once its peak RSS crosses
-  ``max_worker_rss_mb`` (reported by the worker with every result), so
-  warm state cannot grow into a leak;
-* **supervision unchanged** — heartbeats and the watchdog now span
-  every job of an incarnation, crashes cost only the incarnation (the
-  job retries on a fresh one), poison quarantine still counts crash
-  loops per digest, per-job timeouts still reap (sacrificing the
-  incarnation), and chaos ``kill``/``hang`` directives fault warm
-  incarnations mid-stream exactly like fresh workers.
-
-Both modes dispatch **event-driven**: the scheduler blocks in
+Dispatch is **event-driven**: the scheduler blocks in
 ``multiprocessing.connection.wait`` over the worker pipes with a
 timeout derived from the *earliest actual deadline* (retry backoff
 expiry, per-job timeout, watchdog), not a fixed polling tick, so a job
 completion wakes the dispatcher immediately.
 
-The executor contract is unchanged: ``run(specs, on_result=None)``
-returns outcomes **in input order**, results are byte-identical to
+The executor contract: ``run(specs, on_result=None)`` returns outcomes
+**in input order**, results are byte-identical to
 :class:`~repro.serve.executors.SerialExecutor`, and no failure mode
 may hang the pool or drop a result.
 """
@@ -96,10 +89,12 @@ from repro.serve.executors import (
     STATUS_TIMEOUT,
     JobOutcome,
     OnResult,
+    execute_inline,
+    needs_own_process,
     reap_process,
 )
-from repro.serve.jobspec import KIND_PROBE, JobSpec
-from repro.serve.worker import execute_payload, execute_spec, worker_stats
+from repro.serve.jobspec import JobSpec
+from repro.serve.worker import execute_payload, worker_stats
 from repro.workloads import XorShift32
 
 #: Message tag workers interleave with their result messages.
@@ -114,90 +109,52 @@ CHAOS_HANG = "hang"
 #: against a lost-wakeup bug ever wedging the pool.
 _POLL_CAP = 1.0
 
-
-def _supervised_child_entry(payload, conn, heartbeat: float,
-                            directive: Optional[str]) -> None:
-    """Fresh-mode worker body: heartbeat from a side thread, report one
-    result, exit.
-
-    A chaos ``kill`` directive dies instantly without reporting (a
-    machine-level worker loss); ``hang`` wedges *without* starting the
-    heartbeat thread, so the parent watchdog — not the per-job timeout
-    — must notice.
-    """
-    if directive == CHAOS_KILL:
-        os._exit(137)
-    if directive == CHAOS_HANG:
-        while True:  # pragma: no cover - reaped by the parent watchdog
-            time.sleep(3600)
-
-    send_lock = threading.Lock()
-    stop = threading.Event()
-    if heartbeat > 0:
-        def beat() -> None:
-            sequence = 0
-            while not stop.wait(heartbeat):
-                sequence += 1
-                try:
-                    with send_lock:
-                        if stop.is_set():
-                            return
-                        conn.send((HEARTBEAT, sequence, None))
-                except OSError:  # pragma: no cover - parent went away
-                    return
-
-        threading.Thread(target=beat, daemon=True).start()
-    try:
-        try:
-            result, meta = execute_payload(payload)
-            message = (STATUS_OK, result, meta)
-        except ReproError as error:
-            message = (STATUS_ERROR, str(error), None)
-        except Exception as error:  # noqa: BLE001 - report, don't die
-            message = (STATUS_ERROR, f"{type(error).__name__}: {error}",
-                       None)
-        with send_lock:
-            stop.set()
-            conn.send(message)
-    finally:
-        stop.set()
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - pipe already gone
-            pass
+#: Seconds between a worker's checks that its owner is still alive when
+#: heartbeats are off (with heartbeats on, it checks at every beat).
+_OWNER_CHECK = 0.5
 
 
 def _warm_child_entry(conn, heartbeat: float) -> None:
-    """Warm-mode worker body: loop over pipe-fed jobs until told to
-    stop, heartbeating for the life of the incarnation.
+    """Worker body: loop over pipe-fed jobs until told to stop,
+    heartbeating for the life of the incarnation.
 
     Parent -> worker messages: ``("job", payload, directive)`` runs one
     job; ``("stop",)`` (or EOF) ends the incarnation cleanly.  Chaos
     directives fault *this* incarnation mid-stream: ``kill`` dies
-    without reporting, ``hang`` silences the heartbeat thread first and
-    then wedges — modelling a stop-the-world process hang the parent
+    without reporting, ``hang`` silences the heartbeat first and then
+    wedges — modelling a stop-the-world process hang the parent
     watchdog (not the per-job timeout) must notice.
 
     Every result message carries :func:`~repro.serve.worker.
     worker_stats` (peak RSS + checker-memo counters), which the parent
     uses for recycle decisions and warm-pool telemetry.
+
+    A side thread also watches the owner: forked siblings inherit the
+    parent ends of each other's pipes, so an owner's death never shows
+    up here as EOF, and an orphan would otherwise idle forever.
     """
+    owner = os.getppid()
     send_lock = threading.Lock()
     stop = threading.Event()
-    if heartbeat > 0:
-        def beat() -> None:
-            sequence = 0
-            while not stop.wait(heartbeat):
-                sequence += 1
-                try:
-                    with send_lock:
-                        if stop.is_set():
-                            return
-                        conn.send((HEARTBEAT, sequence, None))
-                except OSError:  # pragma: no cover - parent went away
-                    return
+    muted = threading.Event()
 
-        threading.Thread(target=beat, daemon=True).start()
+    def watch() -> None:
+        sequence = 0
+        while not stop.wait(heartbeat or _OWNER_CHECK):
+            if os.getppid() != owner:
+                os._exit(0)  # owner gone: no job or reader will come
+            if heartbeat <= 0 or muted.is_set():
+                continue
+            sequence += 1
+            try:
+                with send_lock:
+                    if stop.is_set():
+                        return
+                    conn.send((HEARTBEAT, sequence, None))
+            except OSError:  # pragma: no cover - parent went away
+                return
+
+    threading.Thread(target=watch, daemon=True).start()
     try:
         while True:
             try:
@@ -211,7 +168,7 @@ def _warm_child_entry(conn, heartbeat: float) -> None:
             if directive == CHAOS_KILL:
                 os._exit(137)
             if directive == CHAOS_HANG:
-                stop.set()
+                muted.set()
                 while True:  # pragma: no cover - reaped by the parent
                     time.sleep(3600)
             try:
@@ -231,16 +188,6 @@ def _warm_child_entry(conn, heartbeat: float) -> None:
             conn.close()
         except OSError:  # pragma: no cover - pipe already gone
             pass
-
-
-@dataclass
-class _Worker:
-    """Fresh-mode bookkeeping: one worker, one job, then gone."""
-
-    index: int
-    process: multiprocessing.process.BaseProcess
-    started: float
-    last_beat: float
 
 
 @dataclass
@@ -273,8 +220,15 @@ class _WarmWorker:
 class SupervisedPool:
     """Fault-tolerant process-parallel executor (see module docstring).
 
-    Parameters beyond :class:`~repro.serve.executors.PoolExecutor`:
-
+    ``jobs``
+        Most worker incarnations alive at once.
+    ``timeout``
+        Per-job budget (s); an overdue job is reaped without retry.
+    ``term_grace``
+        Seconds a signalled worker gets before SIGTERM escalates to
+        SIGKILL.
+    ``start_method``
+        multiprocessing start method (default: fork where available).
     ``heartbeat``
         Interval (s) between worker heartbeats; 0 disables them (and
         the watchdog with them).
@@ -294,16 +248,16 @@ class SupervisedPool:
     ``chaos``
         Optional :class:`~repro.serve.chaos.ChaosMonkey` consulted per
         (digest, attempt) for an injected worker fault.
-    ``warm``
-        Keep worker processes alive across jobs (and across ``run()``
-        calls) and route jobs onto workers whose in-process caches
-        already cover them.  Results remain byte-identical to serial
-        execution — warm reuse is a pure perf knob.
     ``recycle_after``
-        Warm mode: retire an incarnation after this many jobs.
+        Retire an incarnation after this many jobs (``1``: a fresh
+        worker per job; ``None``: no bound).
     ``max_worker_rss_mb``
-        Warm mode: retire an incarnation whose reported peak RSS
-        exceeds this many MB.
+        Retire an incarnation whose reported peak RSS exceeds this
+        many MB.
+
+    Workers persist across ``run()`` calls until recycled or until
+    :meth:`close`; results are byte-identical to serial execution
+    whatever the reuse.
     """
 
     def __init__(self, jobs: int = 2, timeout: Optional[float] = None,
@@ -315,7 +269,6 @@ class SupervisedPool:
                  backoff_seed: int = 0x5EED,
                  fallback_serial: bool = True,
                  chaos=None,
-                 warm: bool = False,
                  recycle_after: Optional[int] = None,
                  max_worker_rss_mb: Optional[float] = None):
         if jobs < 1:
@@ -352,7 +305,6 @@ class SupervisedPool:
         self.backoff_seed = backoff_seed
         self.fallback_serial = fallback_serial
         self.chaos = chaos
-        self.warm = warm
         self.recycle_after = recycle_after
         self.max_worker_rss_mb = max_worker_rss_mb
         #: True once the pool has fallen back to in-process execution.
@@ -429,7 +381,7 @@ class SupervisedPool:
                 "checker_memo": stats.get("checker_memo"),
             })
         return {
-            "warm": self.warm,
+            "warm": True,  # every pool is warm; readers key on it
             "degraded": self.degraded,
             **self.counters,
             "recycles": (self.counters["recycles_jobs"]
@@ -493,56 +445,22 @@ class SupervisedPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- spawning and degraded execution ------------------------------
-
-    def _spawn(self, payload, directive: Optional[str]):
-        """Start one fresh-mode worker; returns (parent_conn, process)."""
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
-            target=_supervised_child_entry,
-            args=(payload, child_conn, self.heartbeat, directive),
-            daemon=True,
-        )
-        try:
-            process.start()
-        except OSError:
-            parent_conn.close()
-            child_conn.close()
-            raise
-        child_conn.close()
-        return parent_conn, process
+    # -- degraded execution ---------------------------------------------
 
     def _run_inline(self, spec: JobSpec, index: int,
                     attempt: int, cause: str) -> JobOutcome:
         """Degraded mode: execute one job in-process, structurally."""
-        if spec.kind == KIND_PROBE and spec.behavior in ("crash", "hang",
-                                                         "stubborn"):
+        if needs_own_process(spec):
             return JobOutcome(
                 spec=spec, index=index, status=STATUS_CRASHED,
                 error=(f"probe({spec.behavior}) cannot run in degraded "
                        f"serial mode (process spawning failed: {cause})"),
                 attempts=attempt, meta={"degraded": True})
-        started = time.perf_counter()
-        try:
-            payload, meta = execute_spec(spec)
-            meta = dict(meta or {})
-            meta["degraded"] = True
-            return JobOutcome(spec=spec, index=index, status=STATUS_OK,
-                              payload=payload, meta=meta,
-                              seconds=time.perf_counter() - started,
-                              attempts=attempt)
-        except ReproError as error:
-            return JobOutcome(spec=spec, index=index, status=STATUS_ERROR,
-                              error=str(error),
-                              seconds=time.perf_counter() - started,
-                              attempts=attempt, meta={"degraded": True})
-        except Exception as error:  # noqa: BLE001 - structured outcome
-            return JobOutcome(spec=spec, index=index, status=STATUS_ERROR,
-                              error=f"{type(error).__name__}: {error}",
-                              seconds=time.perf_counter() - started,
-                              attempts=attempt, meta={"degraded": True})
+        outcome = execute_inline(spec, index, attempt)
+        outcome.meta = dict(outcome.meta or {}, degraded=True)
+        return outcome
 
-    # -- shared scheduling helpers ------------------------------------
+    # -- scheduling -----------------------------------------------------
 
     @staticmethod
     def _wait_budget(now: float, deadlines: List[float]) -> float:
@@ -552,206 +470,6 @@ class SupervisedPool:
         if not deadlines:
             return _POLL_CAP
         return min(_POLL_CAP, max(0.0, min(deadlines) - now))
-
-    # -- the supervision loop (dispatch) ------------------------------
-
-    def run(self, specs: Sequence[JobSpec],
-            on_result: Optional[OnResult] = None) -> List[JobOutcome]:
-        if self.warm:
-            return self._run_warm(list(specs), on_result)
-        return self._run_fresh(list(specs), on_result)
-
-    # -- fresh mode: one process per job ------------------------------
-
-    def _run_fresh(self, specs: List[JobSpec],
-                   on_result: Optional[OnResult]) -> List[JobOutcome]:
-        payloads = [spec.to_payload() for spec in specs]
-        digests = [spec.digest() for spec in specs]
-        results: Dict[int, JobOutcome] = {}
-        ready: deque = deque(range(len(specs)))
-        delayed: List[Tuple[float, int]] = []   # (ready_at, index)
-        running: Dict[object, _Worker] = {}
-        attempts = [0] * len(specs)
-        failures = [0] * len(specs)             # crashes + hangs
-
-        def finish(outcome: JobOutcome) -> None:
-            results[outcome.index] = outcome
-            if on_result is not None:
-                on_result(outcome)
-
-        def retry_or(index: int, make_outcome) -> None:
-            """Common crash/hang disposition: quarantine, retry with
-            backoff, or surface the structured outcome."""
-            digest = digests[index]
-            if failures[index] >= self.poison_after:
-                reason = (f"crash-looped: {failures[index]} worker(s) "
-                          f"lost over {attempts[index]} attempt(s)")
-                self._quarantine(digest, reason)
-                finish(JobOutcome(
-                    spec=specs[index], index=index,
-                    status=STATUS_POISONED,
-                    error=f"job quarantined as poisoned ({reason})",
-                    attempts=attempts[index]))
-            elif attempts[index] <= self.retries:
-                delay = self.backoff_delay(digest, failures[index])
-                delayed.append((time.monotonic() + delay, index))
-            else:
-                finish(make_outcome())
-
-        while len(results) < len(specs):
-            now = time.monotonic()
-            if delayed:
-                due = [entry for entry in delayed if entry[0] <= now]
-                if due:
-                    delayed = [entry for entry in delayed
-                               if entry[0] > now]
-                    # Input order among simultaneously-due retries.
-                    ready.extend(sorted(index for _, index in due))
-
-            while ready and len(running) < self.jobs:
-                index = ready.popleft()
-                digest = digests[index]
-                if digest in self._quarantined:
-                    finish(JobOutcome(
-                        spec=specs[index], index=index,
-                        status=STATUS_POISONED,
-                        error=("job digest is quarantined: "
-                               + self._quarantined[digest]),
-                        attempts=attempts[index]))
-                    continue
-                attempts[index] += 1
-                directive = None
-                if self.chaos is not None:
-                    directive = self.chaos.worker_directive(
-                        digest, attempts[index])
-                if self.degraded:
-                    finish(self._run_inline(specs[index], index,
-                                            attempts[index],
-                                            "pool already degraded"))
-                    continue
-                try:
-                    conn, process = self._spawn(payloads[index],
-                                                directive)
-                except OSError as error:
-                    if not self.fallback_serial:
-                        raise SpawnError(
-                            f"cannot spawn a worker process: {error}"
-                        ) from error
-                    self.degraded = True
-                    finish(self._run_inline(specs[index], index,
-                                            attempts[index], str(error)))
-                    continue
-                started = time.monotonic()
-                running[conn] = _Worker(index, process, started, started)
-
-            # Event-driven wait: block until a worker heartbeats,
-            # reports, or exits (EOF) — or until the earliest pending
-            # deadline (retry backoff, per-job timeout, watchdog).
-            deadlines: List[float] = []
-            for worker in running.values():
-                if self.timeout is not None:
-                    deadlines.append(worker.started + self.timeout)
-                if self.watchdog is not None:
-                    deadlines.append(worker.last_beat + self.watchdog)
-            if delayed:
-                deadlines.append(min(at for at, _ in delayed))
-            budget = self._wait_budget(time.monotonic(), deadlines)
-            if not running:
-                if ready:
-                    continue  # degraded fast path: dispatch inline
-                if budget > 0:
-                    time.sleep(budget)
-                continue
-            for conn in connection_wait(list(running), timeout=budget):
-                worker = running[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                if message is not None and message[0] == HEARTBEAT:
-                    worker.last_beat = time.monotonic()
-                    continue
-                del running[conn]
-                conn.close()
-                reap_process(worker.process, self.term_grace)
-                elapsed = time.monotonic() - worker.started
-                index = worker.index
-                if message is None:
-                    failures[index] += 1
-                    exit_code = worker.process.exitcode
-
-                    def crashed(index=index, exit_code=exit_code,
-                                elapsed=elapsed) -> JobOutcome:
-                        return JobOutcome(
-                            spec=specs[index], index=index,
-                            status=STATUS_CRASHED,
-                            error=(f"worker died without reporting "
-                                   f"(exit code {exit_code}) after "
-                                   f"{attempts[index]} attempt(s)"),
-                            seconds=elapsed, attempts=attempts[index])
-
-                    retry_or(index, crashed)
-                    continue
-                status, data, meta = message
-                if status == STATUS_OK:
-                    finish(JobOutcome(
-                        spec=specs[index], index=index, status=STATUS_OK,
-                        payload=data, meta=meta, seconds=elapsed,
-                        attempts=attempts[index]))
-                else:
-                    finish(JobOutcome(
-                        spec=specs[index], index=index,
-                        status=STATUS_ERROR, error=data, seconds=elapsed,
-                        attempts=attempts[index]))
-
-            now = time.monotonic()
-            for conn, worker in list(running.items()):
-                index = worker.index
-                overdue = self.timeout is not None \
-                    and now - worker.started >= self.timeout
-                hung = self.watchdog is not None \
-                    and now - worker.last_beat >= self.watchdog
-                if not (overdue or hung):
-                    continue
-                del running[conn]
-                conn.close()
-                ended_by = reap_process(worker.process, self.term_grace)
-                elapsed = now - worker.started
-                if overdue:
-                    # Deterministic per-job budget: no retry.
-                    finish(JobOutcome(
-                        spec=specs[index], index=index,
-                        status=STATUS_TIMEOUT,
-                        error=(f"job exceeded the {self.timeout:g}s "
-                               f"per-job timeout and was terminated "
-                               f"(worker ended by {ended_by})"),
-                        seconds=elapsed, attempts=attempts[index]))
-                    continue
-                # Heartbeat silence: infrastructure fault, retried.
-                failures[index] += 1
-                silence = now - worker.last_beat
-                if self.chaos is not None:
-                    self.chaos.log.record(
-                        "watchdog-reap", digest=digests[index],
-                        attempt=attempts[index], ended_by=ended_by)
-
-                def hung_out(index=index, silence=silence,
-                             ended_by=ended_by,
-                             elapsed=elapsed) -> JobOutcome:
-                    return JobOutcome(
-                        spec=specs[index], index=index,
-                        status=STATUS_TIMEOUT,
-                        error=(f"watchdog declared the worker hung "
-                               f"(no heartbeat for {silence:.2f}s) on "
-                               f"all {attempts[index]} attempt(s); "
-                               f"last worker ended by {ended_by}"),
-                        seconds=elapsed, attempts=attempts[index])
-
-                retry_or(index, hung_out)
-
-        return [results[index] for index in range(len(specs))]
-
-    # -- warm mode: persistent workers with affinity routing ----------
 
     def _route(self, ready: deque, keys: List[str]
                ) -> Tuple[int, Optional[_WarmWorker], bool]:
@@ -779,8 +497,9 @@ class SupervisedPool:
                     return index, worker, True
         return ready.popleft(), None, False
 
-    def _run_warm(self, specs: List[JobSpec],
-                  on_result: Optional[OnResult]) -> List[JobOutcome]:
+    def run(self, specs: Sequence[JobSpec],
+            on_result: Optional[OnResult] = None) -> List[JobOutcome]:
+        specs = list(specs)
         payloads = [spec.to_payload() for spec in specs]
         digests = [spec.digest() for spec in specs]
         keys = [spec.affinity_key() for spec in specs]
@@ -953,9 +672,10 @@ class SupervisedPool:
                     continue
                 if message is None:
                     # Incarnation lost (crash, chaos kill, OOM...).
-                    exit_code = worker.process.exitcode
+                    # Reap it first: the exit code is known only then.
                     assignment = worker.current
                     lose_incarnation(worker)
+                    exit_code = worker.process.exitcode
                     if assignment is None:
                         continue  # died idle: no job was owed
                     index = assignment.index

@@ -2,10 +2,10 @@
 deterministic result payload.
 
 :func:`execute_spec` is the single entry point; it runs in-process for
-the :class:`~repro.serve.executors.SerialExecutor` and in a fresh
-worker process for the :class:`~repro.serve.executors.PoolExecutor`
-(via :func:`execute_payload`, which only needs a JSON dict and is
-therefore safe under any multiprocessing start method).
+the :class:`~repro.serve.executors.SerialExecutor` and in a worker
+process of the :class:`~repro.serve.supervisor.SupervisedPool` (via
+:func:`execute_payload`, which only needs a JSON dict and is therefore
+safe under any multiprocessing start method).
 
 Every job returns two dicts:
 
@@ -319,7 +319,7 @@ def _execute_probe(spec: JobSpec) -> Tuple[Payload, Payload]:
 
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
     # "hang"/"stubborn": spin until the executor reaps us.
-    while True:  # pragma: no cover - exercised via PoolExecutor timeout
+    while True:  # pragma: no cover - exercised via the pool timeout
         time.sleep(0.05)
 
 

@@ -119,26 +119,26 @@ class TestWarmgate:
                            "--speedup", "1000000"]) == 1
         assert "required 1e+06x" in capsys.readouterr().err
 
-    def test_run_fresh_vs_warm_telemetry(self, sweep_batch, tmp_path,
+    def test_run_serial_vs_warm_telemetry(self, sweep_batch, tmp_path,
                                          capsys):
-        fresh_report = str(tmp_path / "fresh.json")
+        # The serial run is the reference ledger the pool must match.
+        serial_report = str(tmp_path / "serial.json")
         warm_report = str(tmp_path / "warm.json")
         telemetry_path = str(tmp_path / "telemetry.json")
-        assert serve_main(["run", sweep_batch, "--jobs", "2",
-                           "--fresh-workers",
-                           "--out", fresh_report]) == 0
+        assert serve_main(["run", sweep_batch,
+                           "--out", serial_report]) == 0
         assert serve_main(["run", sweep_batch, "--jobs", "2",
                            "--telemetry-out", telemetry_path,
                            "--out", warm_report]) == 0
-        fresh = json.loads(open(fresh_report).read())
+        serial = json.loads(open(serial_report).read())
         warm = json.loads(open(warm_report).read())
 
         def ledger(report):
             return [(j["job_id"], j["digest"], j["status"],
                      j["attempts"]) for j in report["jobs"]]
 
-        assert ledger(fresh) == ledger(warm)
-        assert "warm_pool" not in fresh or not fresh["warm_pool"]["warm"]
+        assert ledger(serial) == ledger(warm)
+        assert "warm_pool" not in serial
         telemetry = json.loads(open(telemetry_path).read())
         assert telemetry["warm"] is True
         assert telemetry == warm["warm_pool"]

@@ -2,6 +2,7 @@
 and the kill-mid-flight / restart / drain exactly-once round trip.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -171,6 +172,41 @@ class TestHTTPApi:
         finally:
             daemon.stop()
 
+    @staticmethod
+    def post_announcing(daemon, length, body=b""):
+        """POST /v1/batches with a raw Content-Length header; returns
+        (status, JSON reply)."""
+        connection = http.client.HTTPConnection(daemon.host, daemon.port,
+                                                timeout=5)
+        try:
+            connection.putrequest("POST", "/v1/batches")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "12x"])
+    def test_bad_content_length_is_a_400(self, served, length):
+        daemon, client = served
+        status, reply = self.post_announcing(daemon, length)
+        assert status == 400
+        assert "Content-Length" in reply["error"]
+        assert client.status()["queue_depth"] == 0  # still serving
+
+    def test_oversized_body_refused_unread_with_413(self, served):
+        from repro.serve.daemon import MAX_BODY_BYTES
+
+        daemon, client = served
+        # Only a few bytes follow the header: a reply proves the daemon
+        # answered without waiting for the announced body.
+        status, reply = self.post_announcing(
+            daemon, str(MAX_BODY_BYTES + 1), b'{"jobs": [')
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in reply["error"]
+        assert client.status()["queue_depth"] == 0  # still serving
+
     def test_drain_refuses_new_batches(self, served):
         daemon, client = served
         client.drain()
@@ -308,7 +344,7 @@ class TestWarmPoolStatus:
     def test_status_reports_warm_pool_telemetry(self, tmp_path):
         from repro.serve import SupervisedPool
 
-        pool = SupervisedPool(jobs=1, warm=True, heartbeat=0.05,
+        pool = SupervisedPool(jobs=1, heartbeat=0.05,
                               watchdog=5.0)
         daemon = ServeDaemon(str(tmp_path / "spool"), executor=pool)
         daemon.start()

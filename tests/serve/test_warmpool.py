@@ -34,7 +34,7 @@ def probe(behavior="ok", seed=0, seconds=0.0):
 
 def warm_pool(**overrides):
     settings = dict(jobs=2, heartbeat=0.05, watchdog=0.5,
-                    backoff_base=0.01, backoff_cap=0.05, warm=True)
+                    backoff_base=0.01, backoff_cap=0.05)
     settings.update(overrides)
     return SupervisedPool(**settings)
 
@@ -59,8 +59,8 @@ class TestWarmDifferential:
     def test_all_four_kinds_byte_identical_and_reused(self):
         specs = all_kind_specs()
         serial = SerialExecutor().run(specs)
-        fresh = SupervisedPool(jobs=2, heartbeat=0.05,
-                               watchdog=5.0).run(specs)
+        with warm_pool(watchdog=5.0, recycle_after=1) as per_job:
+            fresh = per_job.run(specs)
         with warm_pool(watchdog=5.0) as pool:
             warm_once = pool.run(specs)
             warm_again = pool.run(specs)
@@ -135,9 +135,9 @@ class TestWarmLifecycle:
         from repro.errors import ServeError
 
         with pytest.raises(ServeError):
-            SupervisedPool(warm=True, recycle_after=0)
+            SupervisedPool(recycle_after=0)
         with pytest.raises(ServeError):
-            SupervisedPool(warm=True, max_worker_rss_mb=0)
+            SupervisedPool(max_worker_rss_mb=0)
 
 
 class TestWarmSupervision:
